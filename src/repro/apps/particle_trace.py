@@ -207,6 +207,11 @@ class ParticleTraceProgram(PatchProgram):
     def vote_to_halt(self) -> bool:
         return not self._pending
 
+    def checkpoint_shared(self) -> tuple[str, ...]:
+        # The patch set, its mesh and this patch's cell set are
+        # read-only topology shared with the host, never snapshotted.
+        return ("pset", "mesh", "_cells")
+
     def remaining_workload(self) -> int | None:
         return None  # unknown a priori: exercises consensus termination
 

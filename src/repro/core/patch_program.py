@@ -122,13 +122,14 @@ class PatchProgram(ABC):
         return ()
 
     def checkpoint(self):
-        """Deep snapshot of the mutable local context.
+        """Snapshot of the local context that later mutation of the
+        program cannot change.
 
-        The default copies every instance attribute not named by
-        :meth:`checkpoint_shared`; override for a leaner snapshot.
+        Every instance attribute not named by :meth:`checkpoint_shared`,
+        copied by :meth:`copy_context`.
         """
         shared = set(self.checkpoint_shared())
-        return copy.deepcopy(
+        return self.copy_context(
             {k: v for k, v in self.__dict__.items() if k not in shared}
         )
 
@@ -138,7 +139,18 @@ class PatchProgram(ABC):
         The snapshot itself is left untouched (it may be restored again
         after a second failure).
         """
-        self.__dict__.update(copy.deepcopy(snapshot))
+        self.__dict__.update(self.copy_context(snapshot))
+
+    def copy_context(self, state: dict) -> dict:
+        """Copy a local-context dict so that neither side's later
+        mutation reaches the other.
+
+        The default deep-copies.  An override may copy less (an
+        attribute that is rebound, never mutated in place, may be
+        shared) but must keep the keys and value types: durable
+        snapshots encode the result.
+        """
+        return copy.deepcopy(state)
 
     # -- cost-model hooks (all zero-cost by default) -------------------------------
     #

@@ -533,12 +533,13 @@ class RecoveryManager:
                 self.san.on_booking(master.core, start, end)
             self.bd.add(master.core, "recovery", dur)
             self.sim.observe(end)
+            pending = self.transport.pending_by_src(own)
             for pid in own:
                 i = st.index[pid]
                 self.ckpt[pid] = Checkpoint(
                     st.progs[i].checkpoint(),
                     list(st.inbox[i]),
-                    self.transport.pending_of(pid),
+                    pending[pid],
                 )
                 self.dlog[pid] = []
                 self.dirty.discard(pid)

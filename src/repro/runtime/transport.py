@@ -588,13 +588,18 @@ class Transport:
 
     # -- checkpoint/failover support -----------------------------------------------
 
-    def pending_of(self, pid: ProgramId) -> dict[tuple, Stream]:
-        """This program's un-acked sends (snapshotted into checkpoints)."""
-        return {
-            uid: ps.stream
-            for uid, ps in self.pending.items()
-            if ps.src_pid == pid
-        }
+    def pending_by_src(
+        self, pids: list[ProgramId]
+    ) -> dict[ProgramId, dict[tuple, Stream]]:
+        """Each of ``pids``' un-acked sends (snapshotted into checkpoints),
+        grouped in one pass; each group keeps ``pending``'s insertion
+        order, which is the retransmit order."""
+        out: dict[ProgramId, dict[tuple, Stream]] = {pid: {} for pid in pids}
+        for uid, ps in self.pending.items():
+            group = out.get(ps.src_pid)
+            if group is not None:
+                group[uid] = ps.stream
+        return out
 
     def rearm_after_failover(self, moved: set, ckpt: dict, now: float) -> None:
         """Re-arm the migrated programs' un-acked sends.

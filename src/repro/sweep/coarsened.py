@@ -295,6 +295,11 @@ class CoarsenedSweepProgram(PatchProgram):
     def vote_to_halt(self) -> bool:
         return not self._heap
 
+    def checkpoint_shared(self) -> tuple[str, ...]:
+        # As SweepPatchProgram: topology, the cell map and the solve
+        # callback are shared with the runtime, never snapshotted.
+        return ("cg", "cells_global", "solve_fn")
+
     def remaining_workload(self) -> int:
         return self.cg.n_vertices - self._solved_v
 

@@ -15,6 +15,7 @@ patches (Fig. 4) simply cause additional scheduled runs.
 
 from __future__ import annotations
 
+import copy
 from heapq import heappop, heappush
 from collections.abc import Callable
 
@@ -25,6 +26,44 @@ from ..core.stream import ProgramId, Stream
 from .dag import PatchAngleGraph
 
 __all__ = ["SweepPatchProgram"]
+
+
+def _share(v):
+    return v
+
+
+#: How a snapshot copies each attribute of a sweep program (see
+#: ``SweepPatchProgram.copy_context``).  An attribute that is rebound,
+#: never mutated in place, may be shared; everything else is copied
+#: just deep enough that later mutation cannot reach the snapshot.
+#: Names missing here fall back to a deep copy.
+_SNAPSHOT_COPY: dict[str, Callable] = {
+    # Elements are ints, tuples of immutables, or cluster lists that
+    # are never written after they are appended: one level suffices.
+    "_counts": list,
+    "_heap": list,
+    "clusters": list,
+    # input() adds edge ids to the per-patch sets in place.
+    "_applied": lambda d: {patch: set(ids) for patch, ids in d.items()},
+    "_last": dict,
+    # Empty at every checkpoint (programs are snapshotted only when
+    # not running), but a Stream is mutable.
+    "_outstreams": copy.deepcopy,
+    # Rebound by init(), never mutated in place.
+    "_prio": _share,
+    "_keys": _share,
+    # Immutable scalars (and the frozen ProgramId).
+    "id": _share,
+    "grain": _share,
+    "static_priority": _share,
+    "dynamic_priority": _share,
+    "bytes_per_item": _share,
+    "record_clusters": _share,
+    "resilient_input": _share,
+    "_solved": _share,
+    "_n": _share,
+    "_intkeys": _share,
+}
 
 
 class SweepPatchProgram(PatchProgram):
@@ -240,6 +279,12 @@ class SweepPatchProgram(PatchProgram):
         # callback (which closes over host-owned flux arrays) are shared
         # with the runtime and must not be deep-copied into snapshots.
         return ("graph", "cells_global", "solve_fn")
+
+    def copy_context(self, state: dict) -> dict:
+        # Per-attribute copies instead of a generic deep copy; the keys
+        # and value types stay those of the deep-copy default.
+        get = _SNAPSHOT_COPY.get
+        return {k: get(k, copy.deepcopy)(v) for k, v in state.items()}
 
     def remaining_workload(self) -> int:
         return self.graph.n_local - self._solved

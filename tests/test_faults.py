@@ -7,14 +7,17 @@ the recovery machinery armed stays within the checkpoint overhead
 budget of the fault-free makespan.
 """
 
+import copy
 import warnings
 
+import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from repro._util import ReproError
 from repro.framework import PatchSet
-from repro.mesh import cube_structured
+from repro.mesh import cube_structured, disk_tri_mesh
+from repro.persist.codec import decode, encode
 from repro.runtime import (
     CrashFault,
     DataDrivenRuntime,
@@ -187,6 +190,148 @@ class TestCheckpointRestore:
         assert prog.graph is g  # topology stays shared, not deep-copied
         assert prog.cells_global is cg
         assert "graph" not in snap
+
+    @staticmethod
+    def _drive(progs, rounds, dup=False):
+        """Compute every program ``rounds`` times, delivering each
+        emitted stream at once (twice with ``dup``); returns the
+        streams delivered, by destination."""
+        by_id = {p.id: p for p in progs}
+        delivered = {}
+        for _ in range(rounds):
+            for p in progs:
+                p.compute()
+                for o in p.drain_outputs():
+                    by_id[o.dst].input(o)
+                    if dup:
+                        by_id[o.dst].input(o)
+                    delivered.setdefault(o.dst, []).append(o)
+        return delivered
+
+    def _mid_sweep(self):
+        """A resilient program set two rounds into a sweep, one program
+        whose mutable context is non-trivial at that point, and the
+        streams delivered to it so far."""
+        _, _, s = _setup()
+        progs, _ = s.build_programs(
+            compute=False, resilient=True, record_clusters=True
+        )
+        for p in progs:
+            p.init()
+        delivered = self._drive(progs, 2)
+        prog = next(
+            p for p in progs if p._heap and p._applied and p.clusters
+        )
+        return progs, prog, delivered[prog.id]
+
+    def test_snapshot_isolated_from_later_mutation(self):
+        progs, prog, delivered = self._mid_sweep()
+        shared = prog.checkpoint_shared()
+        snap = prog.checkpoint()
+        ref = copy.deepcopy(
+            {k: v for k, v in prog.__dict__.items() if k not in shared}
+        )
+        assert list(snap) == list(ref)
+        # A redelivered stream is deduped edge by edge but still counts
+        # into ``_last``; further duplicated traffic moves the dedup
+        # sets, recorded clusters, counters and heap on in place.
+        prog.input(delivered[-1])
+        self._drive(progs, 3, dup=True)
+        assert prog.clusters != ref["clusters"]
+        for _ in range(2):  # the same snapshot restores twice
+            prog.restore(snap)
+            state = {k: v for k, v in prog.__dict__.items() if k not in shared}
+            assert state == ref
+            prog.compute()
+
+    def test_snapshot_shares_only_rebound_tables(self):
+        _, prog, _ = self._mid_sweep()
+        snap = prog.checkpoint()
+        live = prog.__dict__
+        for k, v in snap.items():
+            if not isinstance(v, (list, dict, set)):
+                continue
+            if k in ("_prio", "_keys"):
+                assert v is live[k]
+            else:
+                assert v is not live[k], k
+        for patch, ids in snap["_applied"].items():
+            assert ids is not live["_applied"][patch]
+
+    def test_prio_and_keys_unchanged_by_faulty_sweep(self):
+        """Snapshots share ``_prio``/``_keys``, so nothing may mutate
+        them in place: after a sweep with crash recovery (snapshots
+        taken and restored) they equal a fresh program's."""
+        machine, pset, s = _setup()
+        plan = FaultPlan(
+            crashes=(CrashFault(proc=1, time=150e-6),),
+            p_drop=0.05, p_duplicate=0.05, seed=7,
+        )
+        progs, _ = s.build_programs(compute=False, resilient=True)
+        rep = DataDrivenRuntime(CORES, machine=machine, faults=plan).run(
+            progs, pset.patch_proc
+        )
+        assert rep.checkpoints > 0 and rep.reexecutions > 0
+        fresh, _ = s.build_programs(compute=False, resilient=True)
+        for p, f in zip(progs, fresh):
+            f.init()
+            assert p.remaining_workload() == 0
+            assert p._prio == f._prio and p._keys == f._keys
+
+    def test_restore_into_never_initialized_program(self):
+        """The durable-resume path: a snapshot that went through the
+        codec restores into a freshly built program."""
+        _, prog, _ = self._mid_sweep()
+        snap = decode(encode(prog.checkpoint()))
+        _, _, s = _setup()
+        fresh_progs, _ = s.build_programs(
+            compute=False, resilient=True, record_clusters=True
+        )
+        fresh = next(p for p in fresh_progs if p.id == prog.id)
+        fresh.restore(snap)
+        shared = prog.checkpoint_shared()
+        assert {k: v for k, v in fresh.__dict__.items() if k not in shared} == {
+            k: v for k, v in prog.__dict__.items() if k not in shared
+        }
+        prog.compute()
+        fresh.compute()
+        assert fresh.remaining_workload() == prog.remaining_workload()
+        a, b = prog.drain_outputs(), fresh.drain_outputs()
+        assert [o.dst for o in a] == [o.dst for o in b]
+        for x, y in zip(a, b):
+            assert_array_equal(x.payload, y.payload)
+
+    def test_coarsened_program_shares_topology(self):
+        _, _, s = _setup()
+        progs, _ = s.build_coarsened_programs(s.record_coarsened())
+        prog = progs[0]
+        prog.init()
+        cg, cells, solve = prog.cg, prog.cells_global, prog.solve_fn
+        snap = prog.checkpoint()
+        assert not {"cg", "cells_global", "solve_fn"} & set(snap)
+        prog.compute()
+        prog.restore(snap)
+        assert prog.cg is cg and prog.cells_global is cells
+        assert prog.solve_fn is solve
+
+    def test_particle_program_shares_topology(self):
+        from repro.apps.particle_trace import Particle, ParticleTraceProgram
+
+        mesh = disk_tri_mesh(8)
+        ps = PatchSet.from_unstructured(mesh, 40, nprocs=2)
+        cell = int(ps.patches[0].cells[0])
+        seed = Particle(0, mesh.cell_centroids[cell].copy(),
+                        np.array([1.0, 0.0]), cell)
+        prog = ParticleTraceProgram(ps, 0, [seed])
+        prog.init()
+        cells = prog._cells
+        snap = prog.checkpoint()
+        assert not {"pset", "mesh", "_cells"} & set(snap)
+        prog.compute()
+        assert not prog._pending
+        prog.restore(snap)
+        assert prog.pset is ps and prog.mesh is ps.mesh and prog._cells is cells
+        assert len(prog._pending) == 1 and prog._pending[0] is not seed
 
     def test_resilient_input_dedupes_edges(self):
         """Duplicate stream content (same edge ids) must be a no-op."""
