@@ -355,8 +355,9 @@ def _push_kind(node: ast.Call) -> tuple[str | None, bool]:
 
     ``interned`` marks ``kind_id`` interning sites: a module interning
     a kind participates in that kind's protocol from *either* side
-    (transport interns to push via ``push_id``, fastloop interns to
-    dispatch), so PROTO004 counts those toward both sets.
+    (transport interns to push via ``push_id``, the event loop interns
+    to key its handler table), so PROTO004 counts those toward both
+    sets.
     """
     fname = None
     if isinstance(node.func, ast.Attribute):

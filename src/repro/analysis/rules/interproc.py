@@ -327,8 +327,9 @@ class SnapshotCompletenessRule(Rule):
 
 
 #: Event kinds that terminate a run rather than being dispatched: the
-#: loops compare them via interning (fastloop) which already lands them
-#: in both sets; nothing extra needed today, kept for future escapes.
+#: event loop keys its handler table by ``kind_id`` interning, which
+#: already lands them in both sets; nothing extra needed today, kept
+#: for future escapes.
 _PROTO004_EXEMPT_KINDS: frozenset[str] = frozenset()
 
 

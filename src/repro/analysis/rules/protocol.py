@@ -124,14 +124,14 @@ COUNTER_OWNERS: dict[str, str | tuple[str, ...]] = {
     "rebalanced_patches": "repro.runtime.recovery",
     # transport-owned: incarnation fencing happens on the receive path
     "fenced_messages": "repro.runtime.transport",
-    # engine-owned: the composition root and its event loops (the
-    # master loop lives in generalloop, composed by engine_des)
-    "events": ("repro.runtime.engine_des", "repro.runtime.generalloop"),
-    "cascade_crashes": ("repro.runtime.engine_des", "repro.runtime.generalloop"),
+    # engine-owned: the composition root and its master event loop
+    # (``loop``, composed by engine_des)
+    "events": "repro.runtime.loop",
+    "cascade_crashes": "repro.runtime.loop",
     "sanitizer_checks": "repro.runtime.engine_des",
     "termination_hops": "repro.runtime.engine_des",
     "termination_time": "repro.runtime.engine_des",
-    "makespan": ("repro.runtime.engine_des", "repro.runtime.generalloop"),
+    "makespan": ("repro.runtime.engine_des", "repro.runtime.loop"),
     # checkpoint-owned: the durability plane (DESIGN.md §13)
     "snapshots": "repro.runtime.checkpoint",
     "snapshot_bytes": "repro.runtime.checkpoint",

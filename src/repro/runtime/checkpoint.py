@@ -79,7 +79,7 @@ def assemble_state(rt, ctx: SimpleNamespace) -> dict:
     return {
         "version": SNAPSHOT_VERSION,
         "config": config_digest(rt, len(ctx.st.progs)),
-        "popped": ctx.popped,
+        "popped": ctx.sim.dispatched,
         "cascaded": sorted(ctx.cascaded),
         "sim": ctx.sim.state_dict(),
         "router": ctx.router.state_dict(),
@@ -145,11 +145,9 @@ def restore_into(rt, programs, patch_proc, state, persist) -> SimpleNamespace:
     if ctx.inj is not None and state["injector"] is not None:
         ctx.inj.load_state_dict(state["injector"])
     ctx.cascaded = set(state["cascaded"])
-    ctx.popped = int(state["popped"])
     ctx.next_snap = (
-        ctx.popped + persist.every if persist is not None else 0
+        ctx.sim.dispatched + persist.every if persist is not None else 0
     )
-    ctx.resumed = True
     if state["app"] is not None:
         if persist is None or persist.app_state is None:
             raise ReproError(

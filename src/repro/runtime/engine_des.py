@@ -8,9 +8,8 @@ algorithm runs, every schedule-level phenomenon of the paper emerges
 rather than being modeled; only the time axis is synthetic (DESIGN.md).
 The machinery lives in layers, each documented in its own module:
 ``simulator`` < ``router`` < ``transport`` < ``scheduler`` <
-``recovery``, with the event loops in ``fastloop`` (batched clean
-runs) and ``generalloop`` (everything else) and the snapshot schema in
-``checkpoint`` (DESIGN.md §13).
+``recovery``, with the one master event loop in ``loop`` and the
+snapshot schema in ``checkpoint`` (DESIGN.md §13).
 
 :class:`DataDrivenRuntime` validates the run, wires the layers
 together, drives the master event loop (Alg. 1), and negotiates
@@ -32,11 +31,10 @@ from .checkpoint import (
 )
 from .cluster import Machine, TIANHE2
 from .costmodel import CostModel
-from .fastloop import clean_loop
 from .faults import (
     AdaptiveConfig, FaultInjector, FaultPlan, RecoveryConfig, arm_recovery,
 )
-from .generalloop import general_loop
+from .loop import drive
 from .metrics import Breakdown, DeadlineExceeded, RunReport, trace_fields
 from .recovery import RecoveryManager
 from .router import Router
@@ -100,7 +98,7 @@ class DataDrivenRuntime:
         self._seed(ctx)
         self._ctx = ctx
         try:
-            self._drive(ctx, deadline)
+            drive(self, ctx, deadline)
         finally:
             self._ctx = None
         return self._finish(ctx)
@@ -160,9 +158,8 @@ class DataDrivenRuntime:
             bd=bd, report=report, sim=sim, st=st, tracker=tracker,
             slow=slow, san=san, transport=transport, sched=sched, rec=rec,
             cascaded=set(),  # procs whose crash was cascade-induced
-            popped=0,  # events popped (the snapshot/kill coordinate)
             next_snap=persist.every if persist is not None else 0,
-            persist=persist, resumed=False,
+            persist=persist,
         )
 
     def _seed(self, ctx: SimpleNamespace) -> None:
@@ -176,20 +173,6 @@ class DataDrivenRuntime:
                 ctx.sim.push(c.time, "crash", c.proc)
         if ctx.ft:
             ctx.rec.arm()
-
-    # -- the master event loop (Alg. 1) --------------------------------------------
-
-    def _drive(self, ctx: SimpleNamespace, deadline: float | None) -> None:
-        if not ctx.ft and deadline is None and ctx.persist is None and not ctx.resumed:
-            # Fault-free, unbudgeted, unsnapshotted fresh runs see
-            # only the four data-plane kinds: take the batched lean
-            # loop (crashes always arm recovery).
-            ctx.report.events = clean_loop(
-                ctx.sim, ctx.sched, ctx.transport, ctx.st, ctx.router,
-                self.cost, ctx.slow, ctx.bd, unit=ctx.inj is None,
-            )
-            return
-        general_loop(self, ctx, deadline)
 
     # -- durability (snapshot/restore/resume, see checkpoint module) ---------------
 
@@ -230,7 +213,7 @@ class DataDrivenRuntime:
         ctx = self.restore(programs, patch_proc, state, persist=persist)
         self._ctx = ctx
         try:
-            self._drive(ctx, deadline)
+            drive(self, ctx, deadline)
         finally:
             self._ctx = None
         return self._finish(ctx)

@@ -288,6 +288,37 @@ class Scheduler:
                 now, self._k_run_start, (p, w, i, self.st.epoch[i])
             )
 
+    def wake(self, i: int, now: float) -> None:
+        """Make runnable program ``i`` (not running) run.
+
+        Queue bypass: when its process is alive, has an idle worker
+        and an empty queue, dispatch would pop exactly this program
+        onto exactly that worker, so book the run directly.  Skipping
+        the queue round trip only renumbers sequence ticks, never
+        reorders events.
+        """
+        p = self.router.proc_idx[i]
+        idle = self.idle_workers[p]
+        if idle and not self.pq[p] and p not in self.router.dead:
+            self.running.add(i)
+            self.sim.push_id(
+                now, self._k_run_start, (p, idle.pop(), i, self.st.epoch[i])
+            )
+        else:
+            self.enqueue(i)
+            self.dispatch(p, now)
+
+    def deliver(self, data: tuple, now: float) -> None:
+        """A stream lands in its program's inbox; wake the program."""
+        i, s = data
+        st = self.st
+        st.inbox[i].append(s)
+        if self.recovery is not None:
+            self.recovery.log_delivery(st.pids[i], s)
+        st.state[i] = ProgramState.ACTIVE
+        if i not in self.running:
+            self.wake(i, now)
+
     def release(self, p: int, w: int, now: float) -> None:
         """Return worker ``w`` to the idle pool and re-dispatch."""
         self.idle_workers[p].append(w)
@@ -517,18 +548,11 @@ class Scheduler:
             st.state[i] = ProgramState.INACTIVE
         else:
             st.state[i] = ProgramState.ACTIVE
-            if not self.pq[p] and proc_idx[i] == p and p not in self.router.dead:
-                # Queue bypass: the freed worker immediately re-runs the
-                # only runnable program of its process.  Equivalent to
-                # enqueue + release: dispatch would pop exactly this
-                # entry and hand it exactly this worker (the idle pool
-                # is LIFO and ``w`` would be the most recent append),
-                # and renumbering the sequence counter over the skipped
-                # queue entry preserves every relative event order.
-                self.running.add(i)
-                self.sim.push_id(
-                    now, self._k_run_start, (p, w, i, st.epoch[i])
-                )
+            if proc_idx[i] == p:
+                # Free the worker, then wake: the idle pool is LIFO, so
+                # a bypass hands ``w`` straight back to this program.
+                self.idle_workers[p].append(w)
+                self.wake(i, now)
                 return
             self.enqueue(i)
         self.release(p, w, now)

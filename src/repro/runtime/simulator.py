@@ -16,7 +16,7 @@ the heap.  The one sequence counter is shared between the event heap
 and any external priority queues (via :meth:`Simulator.next_seq`), so
 tie-breaking is globally deterministic across all queues of a run.
 
-The optional trace hook fires once per popped event with a structured
+The optional trace hook fires once per dispatched event with a structured
 :class:`TraceEvent`; the ``trace_fields`` callable (supplied by the
 layer that defines the event vocabulary) extracts the proc/core/
 program fields from each event's opaque data.
@@ -24,9 +24,10 @@ program fields from each event's opaque data.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from collections.abc import Callable
+from heapq import heappop, heappush
+from operator import length_hint
+from collections.abc import Callable, Iterator
 from typing import Any
 
 from .._util import ReproError
@@ -256,10 +257,10 @@ class Simulator:
 
     :meth:`arm_watchdog` adds a virtual-time liveness check on top of
     the same counters: when a watched control event (a retransmit
-    timer) pops with *zero* progress events outstanding and more than
-    ``horizon`` virtual seconds since the last progress event was
-    processed, the run has stopped doing useful work while the control
-    plane keeps spinning - the watchdog asks the owning layer for a
+    timer) is dispatched with *zero* progress events outstanding and
+    more than ``horizon`` virtual seconds since the last progress event
+    was dispatched, the run has stopped doing useful work while the
+    control plane keeps spinning - the watchdog asks the owning layer for a
     wait-for snapshot and raises :class:`StallError` if the snapshot
     confirms a genuine stall (a ``None`` snapshot means the timers are
     stale and the heap will drain; the watchdog stays quiet).
@@ -272,7 +273,7 @@ class Simulator:
                  "_slab_time", "_slab_seq", "_slab_kind", "_slab_data",
                  "_free", "_kind_ids", "_kind_names", "_progress_mask",
                  "_wd_mask", "_pop_counts", "peak_heap",
-                 "_turn_t", "_turn_batch")
+                 "_turn_t", "_turn_batch", "_turn_iter")
 
     def __init__(
         self,
@@ -311,14 +312,16 @@ class Simulator:
         self._wd_mask: list[bool] = []
         self._pop_counts: list[int] = []
         self.peak_heap = 0  # high-water heap occupancy (perf_summary)
-        # Same-time turnaround (armed by pop_batch, cleared by its
-        # callers): while the batch for timestamp ``_turn_t`` is being
-        # processed the heap holds no events at that time, so a push
-        # at exactly ``_turn_t`` would be popped next in push order
-        # anyway - it joins the in-flight batch without touching the
-        # heap or the slab.
+        # Same-time turnaround (armed by pop_batch, cleared by
+        # close_batch): while the batch for timestamp ``_turn_t`` is
+        # being dispatched the heap holds no events at that time, so a
+        # push at exactly ``_turn_t`` would be popped next in push
+        # order anyway - it joins the in-flight batch without touching
+        # the heap or the slab.  ``_turn_iter`` is dispatch's iterator
+        # over the batch (``len`` counts its undispatched rest).
         self._turn_t = -1.0
         self._turn_batch: list | None = None
+        self._turn_iter: Iterator | None = None
 
     def arm_watchdog(
         self,
@@ -391,18 +394,9 @@ class Simulator:
             # Turnaround: join the in-flight same-timestamp batch in
             # push order (== the order heap tie-breaking would yield;
             # skipping a sequence tick renumbers but never reorders).
-            # Push/pop quiescence accounting cancels; pop accounting
-            # (counts, progress clock, trace) runs here instead.
-            self._pop_counts[kid] += 1
+            # Accounting runs when the joined event is dispatched.
             if self._progress_mask[kid]:
-                self._prev_progress = self.last_progress
-                self.last_progress = t
-            if self.trace_hook is not None:
-                proc = core = program = None
-                kind = self._kind_names[kid]
-                if self.trace_fields is not None:
-                    proc, core, program = self.trace_fields(kind, data)
-                self.trace_hook(TraceEvent(t, kind, proc, core, program))
+                self.live += 1
             self._turn_batch.append((kid, data))
             return
         self._seq += 1
@@ -422,114 +416,104 @@ class Simulator:
             self._slab_seq.append(seq)
             self._slab_kind.append(kid)
             self._slab_data.append(data)
-        heapq.heappush(self._events, (t, seq, slot))
+        heappush(self._events, (t, seq, slot))
 
     def pop(self) -> tuple[float, str, Any]:
-        """Pop the earliest event; fires the trace hook when armed."""
-        events = self._events
-        n = len(events)
-        if n > self.peak_heap:
-            self.peak_heap = n
-        t, _, slot = heapq.heappop(events)
-        kid = self._slab_kind[slot]
-        data = self._slab_data[slot]
-        self._slab_data[slot] = None
-        self._free.append(slot)
-        self._pop_counts[kid] += 1
-        kind = self._kind_names[kid]
-        if self._progress_mask[kid]:
-            self.live -= 1
-            self._prev_progress = self.last_progress
-            self.last_progress = t
-        elif (
-            self._wd_horizon > 0.0
-            and self._wd_mask[kid]
-            and self.live == 0
-            and t - self.last_progress > self._wd_horizon
-        ):
-            # Control plane still ticking, data plane silent past the
-            # horizon: suspect a stall and ask the owner to confirm.
-            report = self._wd_snapshot(t)
-            if report is not None:
-                raise StallError(report)
-        if self.trace_hook is not None:
-            proc = core = program = None
-            if self.trace_fields is not None:
-                proc, core, program = self.trace_fields(kind, data)
-            self.trace_hook(TraceEvent(t, kind, proc, core, program))
-        return t, kind, data
+        """Pop and account the earliest event (one-at-a-time callers such
+        as the BSP/KBA baselines)."""
+        t, batch = self.pop_batch(1)
+        self.dispatch(t, batch)
+        kid, data = batch[0]
+        return t, self._kind_names[kid], data
 
-    def pop_batch(self) -> tuple[float, list[tuple[int, Any]]]:
+    def pop_batch(self, cap: int = 0) -> tuple[float, list[tuple[int, Any]]]:
         """Drain every event sharing the earliest timestamp (hot path).
 
         Returns ``(t, [(kind_id, data), ...])`` in exact pop order.
         Safe to batch because events pushed while the batch is being
-        *processed* carry strictly larger sequence numbers, so they
+        dispatched carry strictly larger sequence numbers, so they
         sort after every event already drained here even at the same
         timestamp - the interleaving is identical to one-at-a-time
-        :meth:`pop`.  Per-event accounting (progress clock, quiescence
-        counter, watchdog, trace hook, pop counts) runs per drained
-        event, in pop order, exactly as :meth:`pop` would.  The batch
-        also advances the makespan high-water mark to ``t``, replacing
-        the caller's per-event :meth:`observe`.
+        :meth:`pop`.  Draining does no per-event accounting: the
+        caller hands the batch to :meth:`dispatch`.
+
+        ``cap > 0`` drains at most ``cap`` events and leaves the
+        turnaround disarmed, so same-time pushes queue on the heap
+        behind any undrained rest and the batch ends exactly at the
+        cap (the event loop's snapshot / kill cut).
         """
         events = self._events
         n = len(events)
         if n > self.peak_heap:
             self.peak_heap = n
-        heappop = heapq.heappop
-        slab_kind = self._slab_kind
-        slab_data = self._slab_data
-        free = self._free
-        append_free = free.append
-        counts = self._pop_counts
-        pmask = self._progress_mask
-        trace = self.trace_hook
-        wd = self._wd_horizon > 0.0
+        slab_kind, slab_data, free = self._slab_kind, self._slab_data, self._free
         t0, _, slot = heappop(events)
-        batch: list[tuple[int, Any]] = []
-        append_batch = batch.append
-        nprog = 0
-        while True:
-            kid = slab_kind[slot]
-            data = slab_data[slot]
+        batch = [(slab_kind[slot], slab_data[slot])]
+        slab_data[slot] = None
+        free.append(slot)
+        while events and events[0][0] == t0 and len(batch) != cap:
+            _, _, slot = heappop(events)
+            batch.append((slab_kind[slot], slab_data[slot]))
             slab_data[slot] = None
-            append_free(slot)
+            free.append(slot)
+        self._turn_t = -1.0 if cap else t0
+        self._turn_batch = batch
+        return t0, batch
+
+    def close_batch(self) -> None:
+        """Clear the turnaround scratch once the event loop stops
+        dispatching (after the drain, and on restore)."""
+        self._turn_t = -1.0
+        self._turn_batch = None
+        self._turn_iter = None
+
+    def dispatch(
+        self,
+        t: float,
+        batch: list[tuple[int, Any]] | tuple,
+        table: list[Callable[[Any, float], Any]] | None = None,
+    ) -> int:
+        """Account each event of ``batch`` as it is dispatched, then
+        hand it to ``table[kind_id](data, t)``.
+
+        Per-event accounting - pop counts, the quiescence counter, the
+        progress clock, the watchdog and the trace hook - lives here
+        only: :meth:`pop` runs it with no table, the event loop with
+        its handler table.  A handler therefore reads exactly the
+        ``live`` / ``last_progress`` / ``len`` it would read under
+        one-at-a-time :meth:`pop`, and events it pushes at ``t`` join
+        ``batch`` and are dispatched in turn.  Returns how many
+        handlers reported their event inert (a truthy return).
+        """
+        counts, pmask = self._pop_counts, self._progress_mask
+        inert = 0
+        self._turn_iter = it = iter(batch)
+        for kid, data in it:
             counts[kid] += 1
             if pmask[kid]:
-                nprog += 1
+                self.live -= 1
+                self._prev_progress = self.last_progress
+                self.last_progress = t
             elif (
-                wd
+                self._wd_horizon > 0.0
                 and self._wd_mask[kid]
-                and self.live - nprog == 0
-                and t0 - (t0 if nprog else self.last_progress) > self._wd_horizon
+                and self.live == 0
+                and t - self.last_progress > self._wd_horizon
             ):
-                report = self._wd_snapshot(t0)
+                # Control plane still ticking, data plane silent past
+                # the horizon: suspect a stall, ask the owner to confirm.
+                report = self._wd_snapshot(t)
                 if report is not None:
                     raise StallError(report)
-            if trace is not None:
+            if self.trace_hook is not None:
                 proc = core = program = None
                 kind = self._kind_names[kid]
                 if self.trace_fields is not None:
                     proc, core, program = self.trace_fields(kind, data)
-                trace(TraceEvent(t0, kind, proc, core, program))
-            append_batch((kid, data))
-            if not events or events[0][0] != t0:
-                break
-            _, _, slot = heappop(events)
-        if nprog:
-            self.live -= nprog
-            self._prev_progress = t0 if nprog > 1 else self.last_progress
-            self.last_progress = t0
-        if t0 > self.makespan:
-            self.makespan = t0
-        self._turn_t = t0
-        self._turn_batch = batch
-        return t0, batch
-
-    def peek_time(self) -> float:
-        """Virtual time of the earliest pending event (heap non-empty)."""
-        return self._events[0][0]
+                self.trace_hook(TraceEvent(t, kind, proc, core, program))
+            if table is not None and table[kid](data, t):
+                inert += 1
+        return inert
 
     # -- durability (snapshot/restore) ---------------------------------------------
 
@@ -541,7 +525,8 @@ class Simulator:
         restoring them re-establishes the exact pop order, tie-break
         sequences included.  ``kind_names`` is the id mapping itself -
         its order must round-trip bit-for-bit.  Only taken between
-        events (the turnaround scratch is always idle then).
+        batches (the event loop cuts a batch at the snapshot
+        coordinate), so every pending event is on the heap.
         """
         return {
             "events": list(self._events),
@@ -581,8 +566,12 @@ class Simulator:
         self._free = list(d["free"])
         self._pop_counts = list(d["pop_counts"])
         self.peak_heap = d["peak_heap"]
-        self._turn_t = -1.0
-        self._turn_batch = None
+        self.close_batch()
+
+    @property
+    def dispatched(self) -> int:
+        """Events dispatched so far: the snapshot / kill coordinate."""
+        return sum(self._pop_counts)
 
     def event_counts(self) -> dict[str, int]:
         """Events processed so far, by kind (perf accounting)."""
@@ -593,9 +582,9 @@ class Simulator:
         }
 
     def retract_progress(self) -> None:
-        """Undo the last pop's progress stamp.
+        """Undo the last dispatched event's progress stamp.
 
-        Called by the owning layer when a popped progress-kind event
+        Called by the owning layer when a dispatched progress-kind event
         turns out to be no progress at all - a duplicate, corrupted or
         mis-routed delivery that was discarded.  Without the retraction
         a livelock (e.g. retransmissions endlessly re-delivering an
@@ -610,7 +599,13 @@ class Simulator:
             self.makespan = t
 
     def __bool__(self) -> bool:
+        """Events left to drain from the heap (the loop condition)."""
         return bool(self._events)
 
     def __len__(self) -> int:
-        return len(self._events)
+        """Pending events: the heap plus the in-flight batch's
+        undispatched rest (what one-at-a-time :meth:`pop` would see)."""
+        n = len(self._events)
+        if self._turn_iter is not None:
+            n += length_hint(self._turn_iter)
+        return n

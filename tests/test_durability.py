@@ -103,12 +103,50 @@ def _reference(name):
 # -- the kill-resume matrix (>= 25 seeded host crashes) --------------------------
 
 
-@pytest.mark.parametrize("frac", CUT_FRACS)
-@pytest.mark.parametrize("cell", sorted(CELLS))
-def test_kill_resume_is_bitwise_exact(cell, frac, tmp_path):
+#: Cuts inside a multi-event same-timestamp batch of the traced
+#: reference run: ``mid-batch`` between two events drained from the
+#: heap, ``join`` right before a turnaround join (a ``run_start``
+#: pushed at its own timestamp while its batch was in flight).
+BATCH_CUTS = ("mid-batch", "join")
+
+#: (cell, cut): the fraction matrix plus the in-batch cuts.
+KILL_CUTS = [(cell, frac) for cell in sorted(CELLS) for frac in CUT_FRACS] + [
+    (cell, cut)
+    for cell in ("unstructured-mpi_only-faulty", "structured-hybrid-adaptive")
+    for cut in BATCH_CUTS
+]
+
+_BATCH_CUT: dict = {}
+
+
+def _batch_cut(name, cut) -> int:
+    """The dispatch index of an in-batch cut, from a traced reference
+    run (which must match the untraced fingerprint)."""
+    if (name, cut) not in _BATCH_CUT:
+        f = _factory(name)
+        rt, progs, pp, _app = f()
+        rt.trace = True
+        rep = rt.run(progs, pp)
+        assert _fingerprint(f, rep) == _reference(name)[0]
+        tr = rep.trace_events
+        _BATCH_CUT[(name, cut)] = next(
+            k for k in range(len(tr) // 2, len(tr))
+            if tr[k - 1].time == tr[k].time
+            and (tr[k].kind == "run_start") == (cut == "join")
+        )
+    return _BATCH_CUT[(name, cut)]
+
+
+@pytest.mark.parametrize("cell,cut", KILL_CUTS)
+def test_kill_resume_is_bitwise_exact(cell, cut, tmp_path):
     ref_fp, events = _reference(cell)
-    kill_at = max(1, int(frac * events))
-    every = max(20, events // 6)
+    if cut in BATCH_CUTS:
+        # The one snapshot lands on the cut itself: the resume starts
+        # mid-batch.
+        kill_at = every = _batch_cut(cell, cut)
+    else:
+        kill_at = max(1, int(cut * events))
+        every = max(20, events // 6)
     f = _factory(cell)
     rep, mgr, killed = kill_and_resume(
         f, kill_at=kill_at, every=every, workdir=tmp_path
@@ -124,7 +162,8 @@ def test_kill_resume_is_bitwise_exact(cell, frac, tmp_path):
 
 def test_snapshot_armed_run_matches_unsnapshotted(tmp_path):
     """Arming the snapshot hook (without killing) must not perturb the
-    simulation: the general loop with persist on equals the reference."""
+    simulation: batches capped at the snapshot coordinates finish equal
+    to the reference."""
     cell = "structured-hybrid-faulty"
     ref_fp, events = _reference(cell)
     f = _factory(cell)

@@ -161,14 +161,14 @@ class TestSimulator:
         assert (te.time, te.kind, te.proc) == (1.0, "k", 7)
 
 
-def _small_run(trace: bool):
+def _small_run(trace: bool, deadline=None):
     machine = Machine(cores_per_proc=4)
     mesh = cube_structured(8, length=4.0)
     pset = PatchSet.from_structured(mesh, (4, 4, 4), nprocs=4)
     s = make_solver(pset, grain=16)
     progs, _ = s.build_programs(compute=False)
     rt = DataDrivenRuntime(16, machine=machine, trace=trace)
-    return rt.run(progs, pset.patch_proc)
+    return rt.run(progs, pset.patch_proc, deadline=deadline)
 
 
 class TestEventTrace:
@@ -201,3 +201,85 @@ class TestEventTrace:
             assert e["ts"] >= 0.0
             if e["ph"] == "i":
                 assert e["args"]["kind"] not in ("run_start", "run_end")
+
+
+# -- the one event loop: deadline and makespan oracles ---------------------------
+
+#: Kinds that never count as progress, whatever the run.
+CONTROL_KINDS = frozenset(
+    ("ack", "nack", "timer", "hedge", "hbeat", "hback", "restart")
+)
+
+
+def _golden_faulty(trace: bool, deadline=None):
+    """The golden ``structured-hybrid-faulty`` run (one crash, 5% drops
+    and duplicates), optionally traced and under a deadline."""
+    from tests.test_golden_fixtures import _fault_plan, _machine, _solver
+
+    pset, s = _solver("structured", 4)
+    progs, _ = s.build_programs(resilient=True)
+    rt = DataDrivenRuntime(16, machine=_machine(), faults=_fault_plan(),
+                           trace=trace)
+    return rt.run(progs, pset.patch_proc, deadline=deadline)
+
+
+def _counted(trace, deadline: float) -> int:
+    """Events a run counts up to ``deadline``, derived from its trace
+    alone: everything but control-plane kinds and the residue of a
+    crashed process (its runs, arrivals, checkpoints, a second crash).
+    Valid before quiescence, when checkpoints are never inert."""
+    dead, n = set(), 0
+    for ev in trace:
+        if ev.time > deadline:
+            break
+        if ev.kind in CONTROL_KINDS:
+            continue
+        if ev.kind in ("run_start", "run_end", "msg_arrive", "ckpt",
+                       "crash") and ev.proc in dead:
+            continue
+        if ev.kind == "crash":
+            dead.add(ev.proc)
+        n += 1
+    return n
+
+
+class TestEventLoop:
+    def test_deadline_at_a_batch_time_runs_the_whole_batch(self):
+        from repro.runtime import DeadlineExceeded
+
+        ref = _golden_faulty(trace=True).trace_events
+        times = [ev.time for ev in ref]
+        last_progress = max(
+            ev.time for ev in ref if ev.kind not in CONTROL_KINDS
+        )
+        # A multi-event batch mid-run, after the crash, holding both
+        # progress and control events.
+        t = next(
+            t for k, t in enumerate(times)
+            if k > len(times) // 2 and 150e-6 < t < last_progress
+            and len({ev.kind in CONTROL_KINDS
+                     for ev in ref if ev.time == t}) == 2
+        )
+        batch = [ev for ev in ref if ev.time == t]
+        assert len(batch) >= 2
+        with pytest.raises(DeadlineExceeded) as exc:
+            _golden_faulty(trace=True, deadline=t)
+        rep = exc.value.report
+        # Every event at the deadline ran; nothing past it did.
+        assert rep.trace_events == [ev for ev in ref if ev.time <= t]
+        assert rep.events == _counted(ref, t)
+        assert rep.makespan >= t
+
+    def test_unbounded_deadline_is_observation_free(self):
+        rep = _small_run(trace=True)
+        bounded = _small_run(trace=True, deadline=1e9)
+        assert bounded.state_dict() == rep.state_dict()
+        assert bounded.makespan == rep.makespan
+        assert bounded.event_counts == rep.event_counts
+        assert bounded.peak_heap == rep.peak_heap
+        assert bounded.trace_events == rep.trace_events
+        assert bounded.breakdown.by_category == rep.breakdown.by_category
+        # Loop-level makespan: every clean event counts, so the
+        # makespan is the last dispatched event's time.
+        assert rep.makespan == rep.trace_events[-1].time
+        assert rep.events == sum(rep.event_counts.values())

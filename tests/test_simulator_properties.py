@@ -18,7 +18,7 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.simulator import Simulator
+from repro.runtime.simulator import Simulator, StallError, StallReport
 
 # Small delta pool so schedules collide on identical timestamps often;
 # 0.0 lands mid-batch pushes on the in-flight batch's own time.
@@ -88,34 +88,76 @@ def test_single_pop_matches_reference(sched):
     assert sim.live == 0
 
 
-@given(sched=schedules())
-@settings(max_examples=80, deadline=None)
-def test_pop_batch_matches_reference(sched):
-    """Batch drains, including same-time turnaround joins, pop in
-    reference order: mid-batch pushes carry strictly larger sequence
-    numbers, so they sort after every drained event even at the same
-    timestamp."""
+def _drive(sched, horizon, batched):
+    """Dispatch a schedule through ``pop_batch`` + ``dispatch`` (the
+    event loop's drain) or through one-at-a-time ``pop``.
+
+    Each dispatched event runs a handler that records what it reads
+    (``live``, ``last_progress``, ``len``), retracts the progress stamp
+    of every third progress event, checks the reference pop order and
+    pushes the next round - a 0.0 delta lands at exactly the in-flight
+    batch's time and joins it.  The watchdog watches the non-progress
+    kind and confirms a stall only when ``len`` is even, so both the
+    wave-off and the ``StallError`` exit are exercised.  Returns the
+    handler observations and the stall report (``None`` on a drain).
+    """
     pre, rounds = sched
     sim = Simulator(progress_kinds=PROGRESS)
+    # The kind-id -> handler table, interned in KINDS order.
+    assert [sim.kind_id(k) for k in KINDS] == [0, 1]
+    table = [
+        lambda data, t, kind=kind: handle(t, kind, data) for kind in KINDS
+    ]
+    sim.arm_watchdog(
+        horizon,
+        lambda now: StallReport(now, sim.last_progress, horizon, len(sim))
+        if len(sim) % 2 == 0 else None,
+        watch_kinds=frozenset(("aux",)),
+    )
     ref = RefHeap()
     n = _push_both(sim, ref, 0.0, pre, 0)
     rit = iter(rounds)
-    sim_order, ref_order = [], []
-    names = sim._kind_names
-    while sim:
-        t0, batch = sim.pop_batch()
-        # Mid-batch pushes: a 0.0 delta lands at exactly t0 and must
-        # join the in-flight batch (the list grows in push order).
-        n = _push_both(sim, ref, t0, next(rit, []), n)
-        sim_order.extend((t0, names[kid], data) for kid, data in batch)
-        while ref.h and ref.h[0][0] == t0:
-            rt, _, rkind, rdata = heapq.heappop(ref.h)
-            ref_order.append((rt, rkind, rdata))
-    assert sim_order == ref_order
+    seen = []
+
+    def handle(t, kind, data):
+        nonlocal n
+        rt, _, rkind, rdata = heapq.heappop(ref.h)
+        assert (t, kind, data) == (rt, rkind, rdata)
+        if kind == "advance" and data % 3 == 0:
+            sim.retract_progress()
+        seen.append((t, kind, data, sim.live, sim.last_progress, len(sim)))
+        n = _push_both(sim, ref, t, next(rit, []), n)
+
+    try:
+        while sim:
+            if batched:
+                t0, batch = sim.pop_batch()
+                sim.dispatch(t0, batch, table)
+            else:
+                handle(*sim.pop())
+    except StallError as e:
+        return seen, e.report
+    finally:
+        sim.close_batch()
     assert not ref.h
-    assert sim.live == 0
-    if sim_order:
-        assert sim.makespan == max(t for t, _, _ in sim_order)
+    assert sim.live == 0 and len(sim) == 0
+    return seen, None
+
+
+@given(sched=schedules(), horizon=st.sampled_from((0.5, 2.0)))
+@settings(max_examples=80, deadline=None)
+def test_pop_batch_matches_reference(sched, horizon):
+    """Batch drains, including same-time turnaround joins, dispatch in
+    reference order: mid-batch pushes carry strictly larger sequence
+    numbers, so they sort after every drained event even at the same
+    timestamp.  Accounting runs per dispatched event, so handlers read
+    the same ``live`` / ``last_progress`` / pending count, retract the
+    same stamps and meet the same watchdog outcome as under ``pop``.
+    (The event loop advances the makespan; its oracle lives in
+    ``tests/test_runtime_layers.py``.)"""
+    assert _drive(sched, horizon, batched=True) == _drive(
+        sched, horizon, batched=False
+    )
 
 
 @given(sched=schedules())
